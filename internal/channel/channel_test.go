@@ -132,19 +132,12 @@ func TestMobilityStatic(t *testing.T) {
 }
 
 func TestScenarioPresets(t *testing.T) {
-	for _, name := range []string{"pedestrian", "urban-28ghz", "rome", "boston", "powder"} {
-		s, err := ScenarioByName(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	for _, s := range []Scenario{Pedestrian(), Urban28GHz(), ColosseumRome(), ColosseumBoston(), ColosseumPOWDER()} {
 		ch := s.NewUEChannel(2.68e9, rng.New(9))
 		v := ch.SINRdB(0, 0)
 		if v < -20 || v > 60 {
-			t.Errorf("%s: implausible SINR %g", name, v)
+			t.Errorf("%s: implausible SINR %g", s.Name, v)
 		}
-	}
-	if _, err := ScenarioByName("nowhere"); err == nil {
-		t.Fatal("unknown scenario accepted")
 	}
 }
 

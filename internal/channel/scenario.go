@@ -1,10 +1,6 @@
 package channel
 
-import (
-	"fmt"
-
-	"outran/internal/rng"
-)
+import "outran/internal/rng"
 
 // Scenario is a named channel environment used to instantiate the
 // per-UE channels of a cell.
@@ -101,23 +97,6 @@ func ColosseumPOWDER() Scenario { // medium distance, static
 		},
 		SpeedMPS: 0, RadiusM: 120, NumSubbands: 5, ShadowingStd: 3,
 	}
-}
-
-// ScenarioByName resolves a preset by name.
-func ScenarioByName(name string) (Scenario, error) {
-	switch name {
-	case "pedestrian":
-		return Pedestrian(), nil
-	case "urban-28ghz":
-		return Urban28GHz(), nil
-	case "rome":
-		return ColosseumRome(), nil
-	case "boston":
-		return ColosseumBoston(), nil
-	case "powder":
-		return ColosseumPOWDER(), nil
-	}
-	return Scenario{}, fmt.Errorf("channel: unknown scenario %q", name)
 }
 
 // NewUEChannel draws one UE's channel from the scenario.

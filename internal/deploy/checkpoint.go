@@ -43,8 +43,6 @@ func (cc CheckpointConfig) WithDefaults() CheckpointConfig {
 	return cc
 }
 
-func (cc CheckpointConfig) withDefaults() CheckpointConfig { return cc.WithDefaults() }
-
 // Times returns the checkpoint instants in (0, total), ascending.
 func (cc CheckpointConfig) Times(total sim.Time) []sim.Time {
 	var out []sim.Time
@@ -54,8 +52,6 @@ func (cc CheckpointConfig) Times(total sim.Time) []sim.Time {
 	return out
 }
 
-func (cc CheckpointConfig) times(total sim.Time) []sim.Time { return cc.Times(total) }
-
 // The checkpoint archive carries the cell's own sections (see
 // ran.Cell.SnapshotTo) plus one deployment section: the cell's trace
 // offset and the deployment-level handover counters as of the write.
@@ -64,8 +60,8 @@ const (
 	tagDeploy     = 0x4d01
 )
 
-// CheckpointMeta is the deployment section of a checkpoint file.
-type CheckpointMeta struct {
+// checkpointMeta is the deployment section of a checkpoint file.
+type checkpointMeta struct {
 	// At is the simulation instant the checkpoint was taken.
 	At sim.Time
 	// TraceOffset is the cell's JSONL trace size in bytes at the
@@ -85,14 +81,14 @@ type CheckpointMeta struct {
 	KPIOffset int64
 }
 
-// ReadCheckpointMeta decodes the deployment section of a checkpoint.
-func ReadCheckpointMeta(a *snapshot.Archive) (CheckpointMeta, error) {
+// readCheckpointMeta decodes the deployment section of a checkpoint.
+func readCheckpointMeta(a *snapshot.Archive) (checkpointMeta, error) {
 	d, err := a.Section(deploySection)
 	if err != nil {
-		return CheckpointMeta{}, fmt.Errorf("deploy: checkpoint meta: %w", err)
+		return checkpointMeta{}, fmt.Errorf("deploy: checkpoint meta: %w", err)
 	}
 	d.Expect(tagDeploy)
-	m := CheckpointMeta{
+	m := checkpointMeta{
 		At:               sim.Time(d.I64()),
 		TraceOffset:      d.I64(),
 		HandoversApplied: d.Int(),
@@ -100,21 +96,19 @@ func ReadCheckpointMeta(a *snapshot.Archive) (CheckpointMeta, error) {
 		KPIOffset:        d.I64(),
 	}
 	if err := d.Err(); err != nil {
-		return CheckpointMeta{}, fmt.Errorf("deploy: checkpoint meta: %w", err)
+		return checkpointMeta{}, fmt.Errorf("deploy: checkpoint meta: %w", err)
 	}
 	if d.Remaining() != 0 {
-		return CheckpointMeta{}, fmt.Errorf("deploy: checkpoint meta: %w: %d trailing bytes",
+		return checkpointMeta{}, fmt.Errorf("deploy: checkpoint meta: %w: %d trailing bytes",
 			snapshot.ErrCorrupt, d.Remaining())
 	}
 	return m, nil
 }
 
-// Checkpointer writes one cell's periodic checkpoints and surfaces
+// checkpointer writes one cell's periodic checkpoints and surfaces
 // the checkpoint cadence, latest snapshot size and write count as
-// registry instruments in the cell's RunSummary. It is the shared
-// building block of the deployment runtime and outran-sim's
-// single-cell -checkpoint-every path.
-type Checkpointer struct {
+// registry instruments in the cell's RunSummary.
+type checkpointer struct {
 	dir    string
 	cell   int
 	every  sim.Time
@@ -128,10 +122,10 @@ type Checkpointer struct {
 	files []string // retained checkpoint paths, oldest first
 }
 
-// NewCheckpointer builds a checkpointer for one cell index.
-func NewCheckpointer(cc CheckpointConfig, cell int) *Checkpointer {
-	cc = cc.WithDefaults()
-	return &Checkpointer{dir: cc.Dir, cell: cell, every: cc.Every, retain: cc.Retain}
+// newCheckpointer builds a checkpointer for one cell index; cc carries
+// its defaults already (prepare).
+func newCheckpointer(cc CheckpointConfig, cell int) *checkpointer {
+	return &checkpointer{dir: cc.Dir, cell: cell, every: cc.Every, retain: cc.Retain}
 }
 
 // Attach binds the checkpointer to its cell, registers the checkpoint
@@ -140,7 +134,7 @@ func NewCheckpointer(cc CheckpointConfig, cell int) *Checkpointer {
 // across a resume). traceOffset, when non-nil, reports the cell's
 // absolute trace size in bytes (obs.JSONLSink.BytesWritten plus any
 // resumed-from base).
-func (ck *Checkpointer) Attach(c *ran.Cell, traceOffset func() int64) error {
+func (ck *checkpointer) Attach(c *ran.Cell, traceOffset func() int64) error {
 	ck.c = c
 	ck.traceOffset = traceOffset
 	c.Reg.Gauge("checkpoint_period_s").Set(ck.every.Seconds())
@@ -170,7 +164,7 @@ func (ck *Checkpointer) Attach(c *ran.Cell, traceOffset func() int64) error {
 // through a callback like the trace offset) because the KPI stream is
 // shared by all cells and must be captured once, before the per-cell
 // checkpoint writes fan out.
-func (ck *Checkpointer) Write(handovers, flowsTransferred int, kpiOff int64) error {
+func (ck *checkpointer) Write(handovers, flowsTransferred int, kpiOff int64) error {
 	now := ck.c.Eng.Now()
 	ck.writes.Inc()
 	var b snapshot.Builder
@@ -191,7 +185,7 @@ func (ck *Checkpointer) Write(handovers, flowsTransferred int, kpiOff int64) err
 	b.Add(deploySection, &e)
 
 	data := b.Bytes()
-	path := CheckpointPath(ck.dir, ck.cell, now)
+	path := checkpointPath(ck.dir, ck.cell, now)
 	if err := snapshot.WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("deploy: checkpoint cell %d at %v: %w", ck.cell, now, err)
 	}
@@ -226,39 +220,39 @@ func (ck *Checkpointer) Write(handovers, flowsTransferred int, kpiOff int64) err
 // truncated back to the checkpoint's offset (tracePath "" = not
 // tracing), snapshot overlaid, checkpointer bound to the result. The
 // restored cell continues byte-identically to the original.
-func (ck *Checkpointer) Restore(cfg ran.Config, at sim.Time, tracePath string) (*ran.Cell, *TraceFile, CheckpointMeta, error) {
-	path := CheckpointPath(ck.dir, ck.cell, at)
+func (ck *checkpointer) Restore(cfg ran.Config, at sim.Time, tracePath string) (*ran.Cell, *traceFile, checkpointMeta, error) {
+	path := checkpointPath(ck.dir, ck.cell, at)
 	a, err := snapshot.ReadFile(path)
 	if err != nil {
-		return nil, nil, CheckpointMeta{}, err
+		return nil, nil, checkpointMeta{}, err
 	}
 	st, err := os.Stat(path)
 	if err != nil {
-		return nil, nil, CheckpointMeta{}, err
+		return nil, nil, checkpointMeta{}, err
 	}
-	meta, err := ReadCheckpointMeta(a)
+	meta, err := readCheckpointMeta(a)
 	if err != nil {
-		return nil, nil, CheckpointMeta{}, err
+		return nil, nil, checkpointMeta{}, err
 	}
 	if meta.At != at {
-		return nil, nil, CheckpointMeta{}, fmt.Errorf("deploy: %s: checkpoint taken at %v, filename says %v", path, meta.At, at)
+		return nil, nil, checkpointMeta{}, fmt.Errorf("deploy: %s: checkpoint taken at %v, filename says %v", path, meta.At, at)
 	}
 	c, err := ran.NewCell(cfg)
 	if err != nil {
-		return nil, nil, CheckpointMeta{}, err
+		return nil, nil, checkpointMeta{}, err
 	}
-	var tf *TraceFile
+	var tf *traceFile
 	var off func() int64
 	if tracePath != "" {
-		tf, err = ResumeTraceFile(tracePath, meta.TraceOffset)
+		tf, err = openTraceFile(tracePath, meta.TraceOffset)
 		if err != nil {
-			return nil, nil, CheckpointMeta{}, err
+			return nil, nil, checkpointMeta{}, err
 		}
 		c.SetTracerResumed(tf.Tracer())
 		off = tf.Offset
 	}
 	if err := ck.Attach(c, off); err != nil {
-		return nil, tf, CheckpointMeta{}, err
+		return nil, tf, checkpointMeta{}, err
 	}
 	// Files newer than the resume instant are stale: this lineage never
 	// produced them (the deployment resumes every cell from the oldest
@@ -266,10 +260,10 @@ func (ck *Checkpointer) Restore(cfg ran.Config, at sim.Time, tracePath string) (
 	// still carries the newer checkpoints). They must be removed, not
 	// counted toward Retain — the resumed run re-writes those instants.
 	if err := ck.pruneNewerThan(at); err != nil {
-		return nil, tf, CheckpointMeta{}, err
+		return nil, tf, checkpointMeta{}, err
 	}
 	if err := c.RestoreSnapshot(a); err != nil {
-		return nil, tf, CheckpointMeta{}, err
+		return nil, tf, checkpointMeta{}, err
 	}
 	// The metrics section carried the gauge as of one write earlier;
 	// re-anchor it to the file actually restored from, which is the
@@ -285,7 +279,7 @@ func (ck *Checkpointer) Restore(cfg ran.Config, at sim.Time, tracePath string) (
 // pruneNewerThan deletes this cell's checkpoint files taken after the
 // given instant and drops them from the retention list (which Attach
 // filled oldest-first; removing a suffix keeps it ordered).
-func (ck *Checkpointer) pruneNewerThan(at sim.Time) error {
+func (ck *checkpointer) pruneNewerThan(at sim.Time) error {
 	kept := ck.files[:0]
 	for _, f := range ck.files {
 		t, err := checkpointTime(f)
@@ -304,9 +298,9 @@ func (ck *Checkpointer) pruneNewerThan(at sim.Time) error {
 	return nil
 }
 
-// CheckpointPath names cell's checkpoint at the given instant. The
+// checkpointPath names cell's checkpoint at the given instant. The
 // nanosecond timestamp is zero-padded so lexical order is time order.
-func CheckpointPath(dir string, cell int, at sim.Time) string {
+func checkpointPath(dir string, cell int, at sim.Time) string {
 	return filepath.Join(dir, fmt.Sprintf("cell%d-%019d.ckpt", cell, int64(at)))
 }
 
@@ -321,23 +315,18 @@ func checkpointFiles(dir string, cell int) ([]string, error) {
 	return files, nil
 }
 
-// LatestCheckpoint returns the newest checkpoint file for the cell
-// and its timestamp. A missing checkpoint is an error: the caller
-// asked to resume a run that never checkpointed this cell.
-func LatestCheckpoint(dir string, cell int) (string, sim.Time, error) {
+// latestCheckpoint returns the timestamp of the cell's newest
+// checkpoint. A missing checkpoint is an error: the caller asked to
+// resume a run that never checkpointed this cell.
+func latestCheckpoint(dir string, cell int) (sim.Time, error) {
 	files, err := checkpointFiles(dir, cell)
 	if err != nil {
-		return "", 0, err
+		return 0, err
 	}
 	if len(files) == 0 {
-		return "", 0, fmt.Errorf("deploy: no checkpoint for cell %d in %s", cell, dir)
+		return 0, fmt.Errorf("deploy: no checkpoint for cell %d in %s", cell, dir)
 	}
-	path := files[len(files)-1]
-	at, err := checkpointTime(path)
-	if err != nil {
-		return "", 0, err
-	}
-	return path, at, nil
+	return checkpointTime(files[len(files)-1])
 }
 
 // checkpointTime parses the timestamp out of a checkpoint filename.
@@ -351,98 +340,84 @@ func checkpointTime(path string) (sim.Time, error) {
 	return sim.Time(ns), nil
 }
 
-// TraceFile is a runtime-owned JSONL trace file — the form of tracing
+// traceFile is a runtime-owned JSONL trace file — the form of tracing
 // that supports crash recovery, because the runtime can truncate the
 // file back to a checkpoint's offset and append the replayed suffix.
-type TraceFile struct {
-	path   string
-	file   *os.File
+type traceFile struct {
 	sink   *obs.JSONLSink
 	tracer *obs.Tracer
 	base   int64 // bytes present before this sink's writes
 }
 
-// OpenTraceFile starts a fresh trace file.
-func OpenTraceFile(path string) (*TraceFile, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("deploy: trace: %w", err)
-	}
-	sink := obs.NewJSONLSink(f)
-	return &TraceFile{path: path, file: f, sink: sink, tracer: obs.NewTracer(sink)}, nil
-}
-
-// ResumeTraceFile truncates the trace file back to off and appends
-// from there — the resumed run re-emits exactly the suffix the
-// uninterrupted run would have written.
-func ResumeTraceFile(path string, off int64) (*TraceFile, error) {
+// openTraceFile opens the trace at byte offset off (openAt).
+func openTraceFile(path string, off int64) (*traceFile, error) {
 	if off < 0 {
 		return nil, fmt.Errorf("deploy: trace %s: checkpoint has no trace offset (original run was not tracing)", path)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openAt(path, off)
 	if err != nil {
 		return nil, fmt.Errorf("deploy: trace: %w", err)
 	}
-	if err := f.Truncate(off); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("deploy: truncating trace %s to %d: %w", path, off, err)
-	}
 	sink := obs.NewJSONLSink(f)
-	return &TraceFile{path: path, file: f, sink: sink, tracer: obs.NewTracer(sink), base: off}, nil
+	return &traceFile{sink: sink, tracer: obs.NewTracer(sink), base: off}, nil
 }
 
 // Tracer returns the tracer bound to this file (install via
 // ran.Harness.Tracer or ran.Cell.SetTracerResumed).
-func (tf *TraceFile) Tracer() *obs.Tracer { return tf.tracer }
+func (tf *traceFile) Tracer() *obs.Tracer { return tf.tracer }
 
 // Offset returns the absolute trace size in bytes (flushes first).
-func (tf *TraceFile) Offset() int64 { return tf.base + tf.sink.BytesWritten() }
+func (tf *traceFile) Offset() int64 { return tf.base + tf.sink.BytesWritten() }
 
-// Close flushes and closes the file.
-func (tf *TraceFile) Close() error { return tf.sink.Close() }
+// Close flushes and closes the file, reporting the first write error.
+func (tf *traceFile) Close() error { return tf.sink.Close() }
 
-// KPIFile is the runtime-owned KPI JSONL stream — TraceFile's sibling
+// kpiFile is the runtime-owned KPI JSONL stream — traceFile's sibling
 // for live telemetry. One file serves the whole deployment (records
 // carry the cell index), so checkpoints record its offset by value
 // rather than through per-cell callbacks.
-type KPIFile struct {
+type kpiFile struct {
 	sampler *obs.KPISampler
 	base    int64 // bytes present before this sampler's writes
 }
 
-// OpenKPIFile starts a fresh KPI stream with the given sampling
-// interval.
-func OpenKPIFile(path string, every sim.Time) (*KPIFile, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("deploy: kpi: %w", err)
-	}
-	return &KPIFile{sampler: obs.NewKPISampler(f, every)}, nil
-}
-
-// ResumeKPIFile truncates the KPI stream back to off and appends from
-// there — the resumed run re-emits exactly the suffix the
-// uninterrupted run would have written.
-func ResumeKPIFile(path string, every sim.Time, off int64) (*KPIFile, error) {
+// openKPIFile opens the KPI stream with the given sampling interval at
+// byte offset off (openAt).
+func openKPIFile(path string, every sim.Time, off int64) (*kpiFile, error) {
 	if off < 0 {
 		return nil, fmt.Errorf("deploy: kpi %s: checkpoint has no KPI offset (original run emitted no KPI stream)", path)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openAt(path, off)
 	if err != nil {
 		return nil, fmt.Errorf("deploy: kpi: %w", err)
 	}
-	if err := f.Truncate(off); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("deploy: truncating kpi %s to %d: %w", path, off, err)
-	}
-	return &KPIFile{sampler: obs.NewKPISampler(f, every), base: off}, nil
+	return &kpiFile{sampler: obs.NewKPISampler(f, every), base: off}, nil
 }
 
 // Emit appends one record to the stream.
-func (kf *KPIFile) Emit(rec *obs.KPIRecord) { kf.sampler.Emit(rec) }
+func (kf *kpiFile) Emit(rec *obs.KPIRecord) { kf.sampler.Emit(rec) }
 
 // Offset returns the absolute stream size in bytes (flushes first).
-func (kf *KPIFile) Offset() int64 { return kf.base + kf.sampler.Offset() }
+func (kf *kpiFile) Offset() int64 { return kf.base + kf.sampler.Offset() }
 
 // Close flushes and closes the file.
-func (kf *KPIFile) Close() error { return kf.sampler.Close() }
+func (kf *kpiFile) Close() error { return kf.sampler.Close() }
+
+// openAt opens an output stream for writing at byte offset off: a
+// fresh file at 0, otherwise the existing file truncated back to off,
+// so a resumed run re-emits exactly the suffix the uninterrupted run
+// would have written.
+func openAt(path string, off int64) (*os.File, error) {
+	if off == 0 {
+		return os.Create(path)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Truncate(off); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("truncating %s to %d: %w", path, off, err)
+	}
+	return f, nil
+}

@@ -1,8 +1,14 @@
-// Package deploy is the multi-cell deployment runtime: it instantiates
-// N ran.Cells — each with its own sim.Engine, a per-cell seed derived
+// Package deploy is the simulator's run driver: it instantiates N
+// ran.Cells — each with its own sim.Engine, a per-cell seed derived
 // from one master stream, and its own Poisson workload — executes them
 // across a bounded worker pool, and aggregates the per-cell results
-// into one deployment-level summary.
+// into one deployment-level summary. It wires the run's outputs once:
+// event traces, the KPI stream, workload traces, checkpoints and the
+// phase profiler.
+//
+// A single cell is a one-cell deployment and reproduces the classic
+// ran.Harness run byte for byte: with one cell the master seed is the
+// cell's seed, and the KPI stream carries no deployment roll-up record.
 //
 // Determinism contract: every cell is a self-contained single-threaded
 // simulation; the pool only decides which cells run concurrently, never
@@ -76,7 +82,8 @@ type Config struct {
 	// (ran.Harness fields of the same names).
 	Warmup, Window, Tail, Drain sim.Time
 	// Seed is the deployment master seed; per-cell seeds derive from
-	// it in cell order. 0 falls back to Cell.Seed, then to 1.
+	// it in cell order, except that a one-cell deployment runs on the
+	// master seed itself. 0 falls back to Cell.Seed, then to 1.
 	Seed uint64
 	// Handovers scripts inter-cell UE migrations, applied in script
 	// order at each shared instant.
@@ -107,12 +114,12 @@ type Config struct {
 	WorkloadTracePathFor func(cell int) string
 	// KPIPath, when non-empty, writes the live KPI stream to this JSONL
 	// file: one record per cell per sampling instant (in cell order)
-	// followed by one deployment roll-up record (Cell == -1). Requires
-	// Cell.KPIEvery > 0; the base Cell config fixes the cadence (a
-	// PerCell hook must not change KPIEvery). The stream derives only
-	// from simulation state, so same-seed runs produce byte-identical
-	// files for any worker count, and kill-and-resume or scripted
-	// crashes re-emit the exact suffix.
+	// followed, with more than one cell, by one deployment roll-up
+	// record (Cell == -1). Requires Cell.KPIEvery > 0; the base Cell
+	// config fixes the cadence (a PerCell hook must not change
+	// KPIEvery). The stream derives only from simulation state, so
+	// same-seed runs produce byte-identical files for any worker count,
+	// and kill-and-resume or scripted crashes re-emit the exact suffix.
 	KPIPath string
 	// ExactFCT opts into the exact per-flow FCT recorder for every
 	// cell. Deployment runs default to the streaming recorder
@@ -123,6 +130,10 @@ type Config struct {
 	// recorder folds into a streaming accumulator and the run carries
 	// on (finish() notes the degradation on stderr).
 	ExactFCT bool
+	// Profile installs an obs.PhaseProfiler on every cell, after build
+	// and after every restore; the wall-clock phase split lands in each
+	// cell's RunSummary.Phases and never in a byte-compared output.
+	Profile bool
 	// Checkpoint enables periodic checkpointing (see CheckpointConfig).
 	Checkpoint CheckpointConfig
 	// Crashes scripts worker crashes: each event must have Kind
@@ -178,8 +189,8 @@ type runState struct {
 	total sim.Time
 
 	cells  []*ran.Cell
-	traces []*TraceFile
-	cks    []*Checkpointer
+	traces []*traceFile
+	cks    []*checkpointer
 	ckAt   map[sim.Time]bool
 
 	// KPI sampling schedule (multiples of Cell.KPIEvery up to and
@@ -188,7 +199,7 @@ type runState struct {
 	// windowed state evolves identically with or without a file).
 	kpiTimes []sim.Time
 	kpiAt    map[sim.Time]bool
-	kpiFile  *KPIFile
+	kpiFile  *kpiFile
 	kpiBuf   []obs.KPISample // per-barrier scratch, cell order
 
 	res *Result
@@ -196,30 +207,7 @@ type runState struct {
 
 // Run executes the deployment from time zero and returns the per-cell
 // and aggregate results.
-func Run(cfg Config) (*Result, error) {
-	rs, err := prepare(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer rs.closeTraces()
-	defer rs.closeKPI()
-	if err := rs.build(); err != nil {
-		return nil, err
-	}
-	if rs.cfg.KPIPath != "" {
-		rs.kpiFile, err = OpenKPIFile(rs.cfg.KPIPath, rs.cfg.Cell.KPIEvery)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := rs.loop(0); err != nil {
-		return nil, err
-	}
-	if err := rs.closeKPI(); err != nil {
-		return nil, err
-	}
-	return rs.finish()
-}
+func Run(cfg Config) (*Result, error) { return execute(cfg, false) }
 
 // Resume continues a checkpointed deployment that was killed: every
 // cell restores from the newest checkpoint instant all cells share,
@@ -229,30 +217,39 @@ func Run(cfg Config) (*Result, error) {
 // snapshots' fingerprints; the workload comes back from the snapshots
 // themselves). The results are byte-identical to the uninterrupted
 // run's.
-func Resume(cfg Config) (*Result, error) {
+func Resume(cfg Config) (*Result, error) { return execute(cfg, true) }
+
+// execute is the one driver behind Run and Resume. A write error on
+// any runtime-owned output file (trace or KPI stream) fails the run.
+func execute(cfg Config, resume bool) (res *Result, err error) {
 	rs, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if !rs.cfg.Checkpoint.Enabled() {
+	if resume && !rs.cfg.Checkpoint.Enabled() {
 		return nil, fmt.Errorf("deploy: Resume requires Checkpoint.Dir")
 	}
-	defer rs.closeTraces()
-	defer rs.closeKPI()
-	from, kpiOff, err := rs.restore()
+	defer func() {
+		if cerr := rs.closeFiles(); err == nil && cerr != nil {
+			res, err = nil, cerr
+		}
+	}()
+	var from sim.Time
+	var kpiOff int64
+	if resume {
+		from, kpiOff, err = rs.restore()
+	} else {
+		err = rs.build()
+	}
 	if err != nil {
 		return nil, err
 	}
 	if rs.cfg.KPIPath != "" {
-		rs.kpiFile, err = ResumeKPIFile(rs.cfg.KPIPath, rs.cfg.Cell.KPIEvery, kpiOff)
-		if err != nil {
+		if rs.kpiFile, err = openKPIFile(rs.cfg.KPIPath, rs.cfg.Cell.KPIEvery, kpiOff); err != nil {
 			return nil, err
 		}
 	}
 	if err := rs.loop(from); err != nil {
-		return nil, err
-	}
-	if err := rs.closeKPI(); err != nil {
 		return nil, err
 	}
 	return rs.finish()
@@ -271,7 +268,7 @@ func prepare(cfg Config) (*runState, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	cfg.Checkpoint = cfg.Checkpoint.withDefaults()
+	cfg.Checkpoint = cfg.Checkpoint.WithDefaults()
 	total := cfg.Warmup + cfg.Window + cfg.Tail + cfg.Drain
 	if total <= 0 {
 		return nil, fmt.Errorf("deploy: zero run horizon (set Window and Drain)")
@@ -332,11 +329,16 @@ func prepare(cfg Config) (*runState, error) {
 	}
 
 	// Derive per-cell seeds from one master stream, in cell order,
-	// before any parallel work: the worker count cannot perturb them.
-	master := rng.New(seed)
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = master.Uint64()
+	// before any parallel work: the worker count cannot perturb them. A
+	// one-cell deployment is a plain single-cell run, so its master seed
+	// is the cell's seed.
+	seeds := []uint64{seed}
+	if n > 1 {
+		master := rng.New(seed)
+		seeds = make([]uint64, n)
+		for i := range seeds {
+			seeds[i] = master.Uint64()
+		}
 	}
 	rs := &runState{
 		cfg:    cfg,
@@ -345,13 +347,13 @@ func prepare(cfg Config) (*runState, error) {
 		seeds:  seeds,
 		total:  total,
 		cells:  make([]*ran.Cell, n),
-		traces: make([]*TraceFile, n),
-		cks:    make([]*Checkpointer, n),
+		traces: make([]*traceFile, n),
+		cks:    make([]*checkpointer, n),
 		ckAt:   make(map[sim.Time]bool),
 		res:    &Result{},
 	}
 	if ckOn {
-		for _, t := range cfg.Checkpoint.times(total) {
+		for _, t := range cfg.Checkpoint.Times(total) {
 			rs.ckAt[t] = true
 		}
 	}
@@ -399,7 +401,7 @@ func (rs *runState) build() error {
 		}
 		if rs.cfg.TracePathFor != nil {
 			if path := rs.cfg.TracePathFor(i); path != "" {
-				tf, err := OpenTraceFile(path)
+				tf, err := openTraceFile(path, 0)
 				if err != nil {
 					return err
 				}
@@ -431,8 +433,11 @@ func (rs *runState) build() error {
 			return err
 		}
 		rs.cells[i] = cell
+		if rs.cfg.Profile {
+			cell.SetPhaseProfiler(obs.NewPhaseProfiler())
+		}
 		if rs.cfg.Checkpoint.Enabled() {
-			ck := NewCheckpointer(rs.cfg.Checkpoint, i)
+			ck := newCheckpointer(rs.cfg.Checkpoint, i)
 			var off func() int64
 			if rs.traces[i] != nil {
 				off = rs.traces[i].Offset
@@ -459,7 +464,7 @@ func (rs *runState) restore() (sim.Time, int64, error) {
 	// newest instant every cell has (Retain >= 2 keeps it on disk).
 	var from sim.Time
 	for i := 0; i < rs.n; i++ {
-		_, at, err := LatestCheckpoint(rs.cfg.Checkpoint.Dir, i)
+		at, err := latestCheckpoint(rs.cfg.Checkpoint.Dir, i)
 		if err != nil {
 			return 0, -1, err
 		}
@@ -491,20 +496,25 @@ func (rs *runState) restore() (sim.Time, int64, error) {
 
 // restoreCell rebuilds cell i from its checkpoint at the given
 // instant and resumes its trace file.
-func (rs *runState) restoreCell(i int, at sim.Time) (CheckpointMeta, error) {
+func (rs *runState) restoreCell(i int, at sim.Time) (checkpointMeta, error) {
 	var tracePath string
 	if rs.cfg.TracePathFor != nil {
 		tracePath = rs.cfg.TracePathFor(i)
 	}
-	if rs.traces[i] != nil {
-		rs.traces[i].Close()
+	if tf := rs.traces[i]; tf != nil {
 		rs.traces[i] = nil
+		if err := tf.Close(); err != nil {
+			return checkpointMeta{}, err
+		}
 	}
-	ck := NewCheckpointer(rs.cfg.Checkpoint, i)
+	ck := newCheckpointer(rs.cfg.Checkpoint, i)
 	cell, tf, meta, err := ck.Restore(rs.cellConfig(i), at, tracePath)
 	rs.traces[i] = tf
 	if err != nil {
-		return CheckpointMeta{}, err
+		return checkpointMeta{}, err
+	}
+	if rs.cfg.Profile {
+		cell.SetPhaseProfiler(obs.NewPhaseProfiler())
 	}
 	rs.cells[i] = cell
 	rs.cks[i] = ck
@@ -570,9 +580,11 @@ func (rs *runState) loop(from sim.Time) error {
 
 // sampleKPI closes every KPI-enabled cell's window at the barrier
 // instant — in cell order, after all engines reached it — and appends
-// the per-cell records plus the deployment roll-up to the stream.
-// Sampling happens even without an output file: closing the windows is
-// part of the cells' deterministic state evolution.
+// the per-cell records plus, with more than one cell, the deployment
+// roll-up to the stream (a one-cell roll-up would only repeat the
+// cell's own record). Sampling happens even without an output file:
+// closing the windows is part of the cells' deterministic state
+// evolution.
 func (rs *runState) sampleKPI(t sim.Time) {
 	rs.kpiBuf = rs.kpiBuf[:0]
 	for i, c := range rs.cells {
@@ -589,18 +601,10 @@ func (rs *runState) sampleKPI(t sim.Time) {
 	for i := range rs.kpiBuf {
 		rs.kpiFile.Emit(&rs.kpiBuf[i].Rec)
 	}
-	rollup := obs.AggregateKPI(t, rs.kpiBuf)
-	rs.kpiFile.Emit(&rollup)
-}
-
-// closeKPI flushes and closes the KPI stream (idempotent).
-func (rs *runState) closeKPI() error {
-	if rs.kpiFile == nil {
-		return nil
+	if rs.n > 1 {
+		rollup := obs.AggregateKPI(t, rs.kpiBuf)
+		rs.kpiFile.Emit(&rollup)
 	}
-	err := rs.kpiFile.Close()
-	rs.kpiFile = nil
-	return err
 }
 
 // barriers returns the distinct pause instants in (from, total),
@@ -640,7 +644,7 @@ func (rs *runState) barriers(from sim.Time) []sim.Time {
 // segment replays. Byte-exact restoration makes the recovered cell
 // indistinguishable from one that never crashed.
 func (rs *runState) handleCrash(i int, t sim.Time) error {
-	_, at, err := LatestCheckpoint(rs.cfg.Checkpoint.Dir, i)
+	at, err := latestCheckpoint(rs.cfg.Checkpoint.Dir, i)
 	if err != nil {
 		return fmt.Errorf("deploy: recovering cell %d crash at %v: %w", i, t, err)
 	}
@@ -757,13 +761,24 @@ func aggregateFairness(cells []*ran.Cell) (float64, bool) {
 	return total / float64(len(sums)), true
 }
 
-// closeTraces flushes and closes every runtime-owned trace file.
-func (rs *runState) closeTraces() {
-	for _, tf := range rs.traces {
-		if tf != nil {
-			tf.Close()
+// closeFiles flushes and closes the KPI stream and every runtime-owned
+// trace file, returning the first error.
+func (rs *runState) closeFiles() error {
+	var first error
+	if rs.kpiFile != nil {
+		if err := rs.kpiFile.Close(); err != nil {
+			first = fmt.Errorf("deploy: kpi: %w", err)
 		}
 	}
+	for i, tf := range rs.traces {
+		if tf == nil {
+			continue
+		}
+		if err := tf.Close(); err != nil && first == nil {
+			first = fmt.Errorf("deploy: cell %d trace: %w", i, err)
+		}
+	}
+	return first
 }
 
 // runAll advances every cell to the given instant across the pool.

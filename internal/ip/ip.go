@@ -82,11 +82,6 @@ func SortTuples(tuples []FiveTuple) {
 	sort.Slice(tuples, func(i, j int) bool { return tuples[i].Less(tuples[j]) })
 }
 
-// Reverse returns the tuple of the opposite direction.
-func (ft FiveTuple) Reverse() FiveTuple {
-	return FiveTuple{Src: ft.Dst, Dst: ft.Src, SrcPort: ft.DstPort, DstPort: ft.SrcPort, Proto: ft.Proto}
-}
-
 // Header sizes.
 const (
 	IPv4HeaderLen = 20

@@ -116,17 +116,6 @@ func TestParseFiveTupleErrors(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	ft := samplePacket().Tuple
-	r := ft.Reverse()
-	if r.Src != ft.Dst || r.Dst != ft.Src || r.SrcPort != ft.DstPort || r.DstPort != ft.SrcPort {
-		t.Fatal("Reverse wrong")
-	}
-	if r.Reverse() != ft {
-		t.Fatal("double reverse not identity")
-	}
-}
-
 func TestTupleAsMapKey(t *testing.T) {
 	m := map[FiveTuple]int{}
 	ft := samplePacket().Tuple

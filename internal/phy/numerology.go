@@ -75,11 +75,6 @@ func LTE20MHz() Grid {
 	return Grid{Numerology: Mu0, NumRB: 100, CarrierHz: 2.68e9}
 }
 
-// LTE10MHz is a 50-RB LTE carrier.
-func LTE10MHz() Grid {
-	return Grid{Numerology: Mu0, NumRB: 50, CarrierHz: 2.68e9}
-}
-
 // Colosseum is the SCOPE/Colosseum srsRAN configuration: 15 RBs (3 MHz).
 func Colosseum() Grid {
 	return Grid{Numerology: Mu0, NumRB: 15, CarrierHz: 2.68e9}

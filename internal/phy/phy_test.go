@@ -50,7 +50,7 @@ func TestGridPresets(t *testing.T) {
 	if nr.NumRB != 273 {
 		t.Fatalf("NR 100 MHz µ1 has %d RBs, want 273", nr.NumRB)
 	}
-	for _, g := range []Grid{lte, LTE10MHz(), Colosseum(), nr, NR100MHz(Mu0), NR100MHz(Mu2), NR100MHz(Mu3)} {
+	for _, g := range []Grid{lte, Colosseum(), nr, NR100MHz(Mu0), NR100MHz(Mu2), NR100MHz(Mu3)} {
 		if err := g.Validate(); err != nil {
 			t.Errorf("preset invalid: %v", err)
 		}

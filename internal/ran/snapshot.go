@@ -90,9 +90,6 @@ func (c *Cell) EnableSnapshots() {
 	c.pending = make(map[uint64]pendingEvent)
 }
 
-// SnapshotsEnabled reports whether the pending-event registry is on.
-func (c *Cell) SnapshotsEnabled() bool { return c.snapEnabled }
-
 // recAfter schedules fn to run d from now, recording the event in the
 // pending registry when snapshots are enabled. The recorded wrapper
 // unregisters the event at fire time via the engine's current seq, so

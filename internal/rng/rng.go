@@ -128,11 +128,3 @@ func (r *Source) LogUniform(lo, hi float64) float64 {
 	}
 	return math.Exp(math.Log(lo) + r.Float64()*(math.Log(hi)-math.Log(lo)))
 }
-
-// Shuffle permutes the order of n elements using swap (Fisher–Yates).
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

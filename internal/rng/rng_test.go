@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -149,27 +148,5 @@ func TestLogUniformRange(t *testing.T) {
 		if v < 10 || v > 1000 {
 			t.Fatalf("LogUniform out of range: %g", v)
 		}
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	prop := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		v := make([]int, n)
-		for i := range v {
-			v[i] = i
-		}
-		New(seed).Shuffle(n, func(i, j int) { v[i], v[j] = v[j], v[i] })
-		seen := make([]bool, n)
-		for _, x := range v {
-			if x < 0 || x >= n || seen[x] {
-				return false
-			}
-			seen[x] = true
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
 	}
 }

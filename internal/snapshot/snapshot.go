@@ -353,12 +353,6 @@ func Open(data []byte) (*Archive, error) {
 // Names returns section names in file order.
 func (a *Archive) Names() []string { return a.names }
 
-// Has reports whether a section exists.
-func (a *Archive) Has(name string) bool {
-	_, ok := a.sections[name]
-	return ok
-}
-
 // Section returns a decoder over the named section's payload.
 func (a *Archive) Section(name string) (*Decoder, error) {
 	b, ok := a.sections[name]
