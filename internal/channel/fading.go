@@ -21,47 +21,53 @@ const speedOfLight = 299792458.0
 // function of t, so the process needs no per-tick state updates and
 // can be sampled at arbitrary simulation times.
 type jakes struct {
-	dopplerHz float64
-	phasesI   []float64
-	phasesQ   []float64
-	angles    []float64
+	phasesI [numOscillators]float64
+	phasesQ [numOscillators]float64
+	// omega is each oscillator's Doppler shift 2π·fD·cos(angle) in
+	// rad/s, fixed by its random arrival angle at construction.
+	omega [numOscillators]float64
+	// static marks a 0 Hz channel, whose gain is the constant staticDB.
+	static   bool
+	staticDB float64
 }
 
 const numOscillators = 8
 
-func newJakes(dopplerHz float64, r *rng.Source) *jakes {
-	j := &jakes{
-		dopplerHz: dopplerHz,
-		phasesI:   make([]float64, numOscillators),
-		phasesQ:   make([]float64, numOscillators),
-		angles:    make([]float64, numOscillators),
-	}
+func newJakes(dopplerHz float64, r *rng.Source) jakes {
+	var j jakes
 	for n := 0; n < numOscillators; n++ {
 		j.phasesI[n] = 2 * math.Pi * r.Float64()
 		j.phasesQ[n] = 2 * math.Pi * r.Float64()
 		// Random arrival angles give a smoother Doppler spectrum
 		// than the classic deterministic spacing.
-		j.angles[n] = 2 * math.Pi * r.Float64()
+		angle := 2 * math.Pi * r.Float64()
+		j.omega[n] = 2 * math.Pi * dopplerHz * math.Cos(angle)
+	}
+	if dopplerHz <= 0 {
+		// Static channel: fixed draw baked into phase 0.
+		j.static = true
+		sum := 0.0
+		for n := 0; n < numOscillators; n++ {
+			sum += math.Cos(j.phasesI[n]) + math.Cos(j.phasesQ[n])
+		}
+		// Mild static multipath offset in [-3, +3] dB.
+		j.staticDB = 3 * math.Tanh(sum/4)
 	}
 	return j
 }
 
 // gainDB returns the instantaneous fading gain in dB (0 dB average
 // power) at time t.
+//
+//outran:allocfree
 func (j *jakes) gainDB(t sim.Time) float64 {
-	if j.dopplerHz <= 0 {
-		// Static channel: fixed draw baked into phase 0.
-		sum := 0.0
-		for n := 0; n < numOscillators; n++ {
-			sum += math.Cos(j.phasesI[n]) + math.Cos(j.phasesQ[n])
-		}
-		// Mild static multipath offset in [-3, +3] dB.
-		return 3 * math.Tanh(sum/4)
+	if j.static {
+		return j.staticDB
 	}
 	ts := t.Seconds()
 	var i, q float64
 	for n := 0; n < numOscillators; n++ {
-		w := 2 * math.Pi * j.dopplerHz * math.Cos(j.angles[n]) * ts
+		w := j.omega[n] * ts
 		i += math.Cos(w + j.phasesI[n])
 		q += math.Sin(w + j.phasesQ[n])
 	}
@@ -74,15 +80,28 @@ func (j *jakes) gainDB(t sim.Time) float64 {
 }
 
 // Model is the downlink channel of one UE. Zero value is not usable;
-// construct with New.
+// construct with New. A Model is not safe for concurrent use: SINRdB
+// memoizes the wideband gain of the last instant it evaluated.
 type Model struct {
 	meanSINRdB  float64
-	subbands    []*jakes
-	wideband    *jakes
+	subbands    []jakes
+	wideband    jakes
 	mob         *Mobility
 	plExponent  float64
 	refDistM    float64
 	shadowingDB float64
+
+	// The wideband gain at instant wbAt (valid once wbSet): a CQI
+	// report or HARQ decode asks for several subbands at one instant,
+	// and all of them share it. Derived from the seed-built state, so
+	// checkpoints need not carry it.
+	wbAt  sim.Time
+	wbDB  float64
+	wbSet bool
+
+	// bankEvals counts oscillator-bank evaluations, the unit of PHY
+	// work the memo saves; tests pin it.
+	bankEvals int
 }
 
 // Config parameterises a UE channel.
@@ -112,7 +131,7 @@ func New(cfg Config, r *rng.Source) *Model {
 	if cfg.ShadowingStd > 0 {
 		m.shadowingDB = r.Normal(0, cfg.ShadowingStd)
 	}
-	m.subbands = make([]*jakes, cfg.NumSubbands)
+	m.subbands = make([]jakes, cfg.NumSubbands)
 	for i := range m.subbands {
 		m.subbands[i] = newJakes(doppler, r)
 	}
@@ -120,15 +139,22 @@ func New(cfg Config, r *rng.Source) *Model {
 }
 
 // SINRdB returns the instantaneous SINR (dB) on the given subband.
+//
+//outran:allocfree
 func (m *Model) SINRdB(t sim.Time, subband int) float64 {
 	if subband < 0 {
 		subband = 0
 	}
-	sb := m.subbands[subband%len(m.subbands)]
+	if !m.wbSet || m.wbAt != t {
+		m.wbAt, m.wbDB, m.wbSet = t, m.wideband.gainDB(t), true
+		m.bankEvals++
+	}
+	m.bankEvals++
+	sb := &m.subbands[subband%len(m.subbands)]
 	s := m.meanSINRdB + m.shadowingDB
 	// Wideband fading dominates; subband fading adds frequency
 	// selectivity around it.
-	s += 0.7*m.wideband.gainDB(t) + 0.3*sb.gainDB(t)
+	s += 0.7*m.wbDB + 0.3*sb.gainDB(t)
 	if m.mob != nil && m.plExponent > 0 {
 		d := m.mob.DistanceM(t)
 		if d < 1 {

@@ -53,6 +53,7 @@ func (m *Mobility) appendLeg(start sim.Time, x0, y0 float64) {
 	if dur < sim.Millisecond {
 		dur = sim.Millisecond
 	}
+	//outran:allocok one leg per waypoint reached, amortized over the walk; only path-loss scenarios query distance on the hot path
 	m.legs = append(m.legs, leg{start: start, end: start + dur, x0: x0, y0: y0, x1: x1, y1: y1})
 }
 

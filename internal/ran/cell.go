@@ -393,11 +393,7 @@ func (c *Cell) reportCQIAt(now sim.Time) {
 			off = h(ue.id, now)
 		}
 		for sb := range ue.macUser.SubbandCQI {
-			if off != 0 {
-				ue.macUser.SubbandCQI[sb] = phy.CQIFromSINR(ue.ch.SINRdB(now, sb) + off)
-			} else {
-				ue.macUser.SubbandCQI[sb] = ue.ch.CQI(now, sb)
-			}
+			ue.macUser.SubbandCQI[sb] = phy.CQIFromSINR(ue.ch.SINRdB(now, sb) + off)
 		}
 	}
 }
