@@ -93,7 +93,10 @@ func NewInterUser(inner mac.MetricFunc, innerName string, epsilon float64) (*Int
 func (s *InterUser) Name() string { return s.name }
 
 // Allocate implements mac.Scheduler with one extra pass per RB,
-// keeping the O(|U||B|) complexity of the legacy scheduler.
+// keeping the O(|U||B|) complexity of the legacy scheduler. By the
+// mac.MetricFunc contract every RB of a run (mac.RunEnd) gets the same
+// decision, so it is computed once per run; the audit counters and
+// OnDecision still see every RB, in RB order.
 //
 //outran:allocfree
 //outran:scratch
@@ -106,7 +109,8 @@ func (s *InterUser) Allocate(now sim.Time, users []*mac.User, grid phy.Grid) mac
 		s.metrics = make([]float64, len(users))
 	}
 	metrics := s.metrics[:len(users)]
-	for b := 0; b < grid.NumRB; b++ {
+	for b := 0; b < grid.NumRB; {
+		end := mac.RunEnd(users, b, grid.NumRB)
 		// First iteration: the legacy selection (lines 4-8).
 		best := -1
 		mMax := 0.0
@@ -125,6 +129,7 @@ func (s *InterUser) Allocate(now sim.Time, users []*mac.User, grid phy.Grid) mac
 			}
 		}
 		if best == -1 {
+			b = end
 			continue
 		}
 		// Second iteration: re-selection among the relaxed candidate
@@ -153,14 +158,19 @@ func (s *InterUser) Allocate(now sim.Time, users []*mac.User, grid phy.Grid) mac
 				}
 			}
 		}
-		alloc.RBOwner[b] = sel
-		s.decisions++
-		if sel != best {
-			s.overrides++
-			s.sacSum += (mMax - selMetric) / mMax
-		}
-		if s.OnDecision != nil {
-			s.OnDecision(now, b, best, sel, mMax, selMetric, selPrio, candidates)
+		sac := (mMax - selMetric) / mMax
+		for ; b < end; b++ {
+			alloc.RBOwner[b] = sel
+			s.decisions++
+			if sel != best {
+				// Summed per RB, not multiplied per run: the float
+				// sum keeps its bits.
+				s.overrides++
+				s.sacSum += sac
+			}
+			if s.OnDecision != nil {
+				s.OnDecision(now, b, best, sel, mMax, selMetric, selPrio, candidates)
+			}
 		}
 	}
 	return alloc

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"outran/internal/analysis/probetest"
+	"outran/internal/phy"
 )
 
 // allocUsers is the shared workload for the zero-alloc probes: a mix
@@ -49,6 +50,16 @@ func TestAllocateZeroAllocs(t *testing.T) {
 		"(*SRJF).Allocate":            probeAllocate(&SRJF{}),
 		"(*PSS).Allocate":             probeAllocate(&PSS{}),
 		"(*CQA).Allocate":             probeAllocate(&CQA{}),
+		"RunEnd": func(t *testing.T) {
+			users := allocUsers()
+			users[1].SubbandCQI = []phy.CQI{4, 9, 2}
+			allocs := testing.AllocsPerRun(100, func() {
+				RunEnd(users, 2, 25)
+			})
+			if allocs != 0 {
+				t.Errorf("RunEnd: %.1f allocs/call, want 0", allocs)
+			}
+		},
 	})
 }
 

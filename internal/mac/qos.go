@@ -32,7 +32,10 @@ func (*PSS) Name() string { return "PSS" }
 func (s *PSS) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
 	s.scratch.Reset(grid.NumRB)
 	alloc := s.scratch
-	for b := 0; b < grid.NumRB; b++ {
+	// One decision per run of RBs (PFMetric keeps the MetricFunc
+	// contract).
+	for b := 0; b < grid.NumRB; {
+		end := RunEnd(users, b, grid.NumRB)
 		best, bestM := -1, 0.0
 		bestQoS := false
 		for ui, u := range users {
@@ -53,7 +56,9 @@ func (s *PSS) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
 				best, bestM = ui, m
 			}
 		}
-		alloc.RBOwner[b] = best
+		for ; b < end; b++ {
+			alloc.RBOwner[b] = best
+		}
 	}
 	return alloc
 }

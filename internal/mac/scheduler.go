@@ -82,11 +82,19 @@ type Scheduler interface {
 
 // MetricFunc is a per-RB scheduling metric m_{u,b}(t) (eq. 1). Higher
 // wins the RB.
+//
+// Contract: a MetricFunc depends on the RB only through
+// u.CQIForRB(rb, grid.NumRB) (RateForRB reads the same), and on
+// nothing Allocate changes. Schedulers rely on it to evaluate each
+// run of RBs (RunEnd) once and give the whole run to the winner; a
+// metric that also read rb itself would see its first RB only.
 type MetricFunc func(u *User, rb int, grid phy.Grid, now sim.Time) float64
 
 // MetricScheduler is the standard sub-optimal per-RB allocator of
 // §4.1: for each RB it assigns the RB to the backlogged user with the
-// best metric, independently of other RBs — O(|U||B|).
+// best metric, independently of other RBs — O(|U||B|). By the
+// MetricFunc contract every RB of a run gets the same decision, so it
+// is computed once per run.
 type MetricScheduler struct {
 	SchedName string
 	Metric    MetricFunc
@@ -108,7 +116,8 @@ func (s *MetricScheduler) Name() string { return s.SchedName }
 //outran:scratch
 func (s *MetricScheduler) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
 	s.scratch.Reset(grid.NumRB)
-	for b := 0; b < grid.NumRB; b++ {
+	for b := 0; b < grid.NumRB; {
+		end := RunEnd(users, b, grid.NumRB)
 		best := -1
 		bestM := 0.0
 		fallback := -1
@@ -131,7 +140,9 @@ func (s *MetricScheduler) Allocate(now sim.Time, users []*User, grid phy.Grid) A
 		if best == -1 {
 			best = fallback
 		}
-		s.scratch.RBOwner[b] = best
+		for ; b < end; b++ {
+			s.scratch.RBOwner[b] = best
+		}
 	}
 	return s.scratch
 }

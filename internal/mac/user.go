@@ -74,15 +74,49 @@ type User struct {
 }
 
 // CQIForRB maps an RB index to the CQI of the subband containing it.
+// A user with no subbands reads CQI 0 on every RB.
 func (u *User) CQIForRB(rb, numRB int) phy.CQI {
 	if len(u.SubbandCQI) == 0 {
 		return 0
 	}
-	sb := rb * len(u.SubbandCQI) / numRB
-	if sb >= len(u.SubbandCQI) {
-		sb = len(u.SubbandCQI) - 1
+	return u.SubbandCQI[SubbandOf(rb, len(u.SubbandCQI), numRB)]
+}
+
+// SubbandOf maps RB rb of a numRB-RB grid to the subband containing
+// it among nsb > 0 equal-width subbands. It is the one RB→subband map:
+// CQIForRB, RunEnd and the cell's grant accounting all use it.
+func SubbandOf(rb, nsb, numRB int) int {
+	sb := rb * nsb / numRB
+	if sb >= nsb {
+		sb = nsb - 1
 	}
-	return u.SubbandCQI[sb]
+	return sb
+}
+
+// RunEnd returns one past the last RB of the run that starts at rb:
+// the longest range [rb, end) over which CQIForRB reads one subband
+// for every user. When all users have the same subband count the runs
+// are the subbands. Users without subbands read CQI 0 everywhere and
+// never end a run.
+//
+//outran:allocfree
+func RunEnd(users []*User, rb, numRB int) int {
+	end := numRB
+	prev := 0
+	for _, u := range users {
+		nsb := len(u.SubbandCQI)
+		if nsb == 0 || nsb == prev {
+			continue // same subband count, same boundary
+		}
+		prev = nsb
+		// The next subband starts at the first RB b with
+		// b·nsb >= (sb+1)·numRB.
+		sb := SubbandOf(rb, nsb, numRB)
+		if e := ((sb+1)*numRB + nsb - 1) / nsb; e < end {
+			end = e
+		}
+	}
+	return end
 }
 
 // RateForRB returns the achievable rate r_{u,b} in bits/s.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -179,5 +180,32 @@ func TestPhaseProfilerAttribution(t *testing.T) {
 		if got[name] != 0 {
 			t.Errorf("%s phase ns/TTI = %v, want 0 (never entered)", name, got[name])
 		}
+	}
+}
+
+// TestPhaseProfilerTimesOneIntervalInStride: only every profileStride-th
+// TTI interval reads the clock, and the per-TTI means divide by the
+// timed intervals, not all of them.
+func TestPhaseProfilerTimesOneIntervalInStride(t *testing.T) {
+	p := NewPhaseProfiler()
+	const n = 3 * profileStride
+	var timed []int
+	for i := 0; i < n; i++ {
+		s := p.Begin()
+		if !s.IsZero() {
+			timed = append(timed, i)
+			time.Sleep(100 * time.Microsecond)
+		}
+		p.End(PhaseMac, s)
+		p.OnTTI()
+	}
+	if fmt.Sprint(timed) != fmt.Sprint([]int{0, profileStride, 2 * profileStride}) {
+		t.Fatalf("timed intervals %v, want every %dth", timed, profileStride)
+	}
+	if p.TTIs() != n {
+		t.Fatalf("TTIs = %d, want %d", p.TTIs(), n)
+	}
+	if got := p.NsPerTTI()["mac"]; got < float64(100*time.Microsecond) {
+		t.Fatalf("mac ns/TTI %v averages over untimed intervals", got)
 	}
 }

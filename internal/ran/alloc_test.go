@@ -74,15 +74,30 @@ func TestCellZeroAllocs(t *testing.T) {
 			for b := range alloc.RBOwner {
 				alloc.RBOwner[b] = 0
 			}
-			bits, nRB, _, _ := cell.rbStats(0, alloc)
-			if bits == 0 || nRB != cell.grid.NumRB {
-				t.Fatalf("rbStats(0) = %d bits over %d RBs; want full-grid grant", bits, nRB)
+			cell.rbStats(alloc)
+			if g := cell.grants[0]; g.bits == 0 || g.nRB != cell.grid.NumRB {
+				t.Fatalf("rbStats: UE 0 got %d bits over %d RBs; want full-grid grant", g.bits, g.nRB)
 			}
 			allocs := testing.AllocsPerRun(100, func() {
-				cell.rbStats(0, alloc)
+				cell.rbStats(alloc)
 			})
 			if allocs != 0 {
 				t.Errorf("rbStats: %.1f allocs/call, want 0", allocs)
+			}
+		},
+		"(*Cell).readCQI": func(t *testing.T) {
+			cell := backloggedCell(t)
+			ue := cell.ues[0]
+			before := cell.cqiEvals
+			allocs := testing.AllocsPerRun(100, func() {
+				ue.cqiDue = true
+				cell.readCQI(ue)
+			})
+			if cell.cqiEvals == before {
+				t.Fatal("readCQI evaluated nothing; probe would be vacuous")
+			}
+			if allocs != 0 {
+				t.Errorf("readCQI: %.1f allocs/call, want 0", allocs)
 			}
 		},
 	})

@@ -73,6 +73,13 @@ type ueCtx struct {
 	flows       map[ip.FiveTuple]*flowRuntime
 
 	enqueueDrops int
+
+	// The UE's latest CQI report, kept as the instant it was taken and
+	// its injected SINR offset; cqiDue marks a report macUser.SubbandCQI
+	// does not hold yet (see reportCQIAt and readCQI).
+	cqiAt  sim.Time
+	cqiOff float64
+	cqiDue bool
 }
 
 // txStatus returns the RLC buffer status plus pending HARQ bytes so
@@ -164,10 +171,14 @@ type Cell struct {
 	blockTTIs   int
 	blockTputs  []float64
 
-	// sbScratch backs the per-UE allocated-subband list inside onTTI.
-	// It is reused across UEs and TTIs; serveUE copies it into a harqTB
-	// at TB creation, the only point the list outlives the TTI.
-	sbScratch []int
+	// grants holds each UE's share of the current TTI's allocation
+	// (rbStats). Its subband lists are scratch reused across TTIs;
+	// serveUE copies one into a harqTB at TB creation, the only point a
+	// list outlives the TTI.
+	grants []ueGrant
+	// cqiEvals counts subband CQI evaluations (readCQI), the unit of
+	// PHY work deferred reports save; tests pin it.
+	cqiEvals uint64
 
 	// Hot-path arenas (see arena.go): the transport-block free list
 	// and the retired-flow graveyard. Pure dead state — field-reset on
@@ -259,6 +270,7 @@ func NewCell(cfg Config) (*Cell, error) {
 	c.blockBits = make([]int64, cfg.NumUEs)
 	c.blockActive = make([]bool, cfg.NumUEs)
 	c.blockTputs = make([]float64, 0, cfg.NumUEs)
+	c.grants = make([]ueGrant, cfg.NumUEs)
 	c.tickTTI = sim.NewPeriodic(c.Eng, c.grid.TTI(), c.onTTI)
 	c.tickCQI = sim.NewPeriodic(c.Eng, cfg.CQIPeriod, c.reportCQI)
 	c.reportCQIAt(0)
@@ -378,9 +390,16 @@ func (c *Cell) wireBearer(ue *ueCtx) error {
 	return nil
 }
 
-// reportCQI refreshes every UE's reported CQI from its channel.
+// reportCQI takes every UE's periodic CQI report.
 func (c *Cell) reportCQI() { c.reportCQIAt(c.Eng.Now()) }
 
+// reportCQIAt takes every UE's CQI report at now. What can happen to a
+// report is decided here, at its instant and in UE order: the fault
+// hooks may drop it or fade it. Its subband CQIs are a pure function of
+// that instant and offset — Jakes fading and the mobility walk are
+// functions of time, and the channel memo is derived state — so
+// evaluating them waits for the first read (readCQI). Most reports of
+// an idle UE are replaced before anything reads them.
 func (c *Cell) reportCQIAt(now sim.Time) {
 	tPhy := c.prof.Begin()
 	defer c.prof.End(obs.PhasePhy, tPhy)
@@ -392,9 +411,31 @@ func (c *Cell) reportCQIAt(now sim.Time) {
 		if h := c.hooks.SINROffsetDB; h != nil {
 			off = h(ue.id, now)
 		}
-		for sb := range ue.macUser.SubbandCQI {
-			ue.macUser.SubbandCQI[sb] = phy.CQIFromSINR(ue.ch.SINRdB(now, sb) + off)
-		}
+		ue.cqiAt, ue.cqiOff, ue.cqiDue = now, off, true
+	}
+}
+
+// readCQI evaluates UE ue's outstanding CQI report, if any, into its
+// MAC view.
+//
+//outran:allocfree
+func (c *Cell) readCQI(ue *ueCtx) {
+	if !ue.cqiDue {
+		return
+	}
+	ue.cqiDue = false
+	cqi := ue.macUser.SubbandCQI
+	for sb := range cqi {
+		cqi[sb] = phy.CQIFromSINR(ue.ch.SINRdB(ue.cqiAt, sb) + ue.cqiOff)
+	}
+	c.cqiEvals += uint64(len(cqi))
+}
+
+// readAllCQI evaluates every outstanding CQI report, for readers of
+// the whole MAC view (Users, SnapshotTo).
+func (c *Cell) readAllCQI() {
+	for _, ue := range c.ues {
+		c.readCQI(ue)
 	}
 }
 
@@ -412,23 +453,35 @@ func (c *Cell) onTTI() {
 		//outran:scratchsafe consumed within this TTI and overwritten here before the entity's next Status call
 		c.macUsers[i].Buffer = ue.txStatus(now)
 	}
+	c.prof.End(obs.PhaseMac, tMac)
+	// The scheduler reads the CQIs of backlogged users only, so only
+	// their outstanding reports are evaluated.
+	tPhy := c.prof.Begin()
+	for i, ue := range c.ues {
+		if c.macUsers[i].Buffer.Backlogged() {
+			c.readCQI(ue)
+		}
+	}
+	c.prof.End(obs.PhasePhy, tPhy)
+	tMac = c.prof.Begin()
 	alloc := c.sched.Allocate(now, c.macUsers, c.grid)
 	c.prof.End(obs.PhaseMac, tMac)
 	tRlc := c.prof.Begin()
+	c.rbStats(alloc)
 	totalBits := 0
 	totalUsedRBs := 0
 	for i, ue := range c.ues {
-		bits, nAllocRB, sinrReqSum, sbs := c.rbStats(i, alloc)
+		g := &c.grants[i]
 		var used int
-		if bits > 0 {
-			reqSINR := sinrReqSum / float64(nAllocRB)
-			used = c.serveUE(ue, bits, reqSINR, sbs)
+		if g.bits > 0 {
+			reqSINR := g.sinrReqSum / float64(g.nRB)
+			used = c.serveUE(ue, g.bits, reqSINR, g.sbs)
 			if used > 0 {
 				c.macUsers[i].LastServed = now
 				// Count the RBs that actually carried data (partially
 				// filled grants count their filled share).
-				frac := float64(used) / float64(bits)
-				totalUsedRBs += int(frac*float64(nAllocRB) + 0.999)
+				frac := float64(used) / float64(g.bits)
+				totalUsedRBs += int(frac*float64(g.nRB) + 0.999)
 			}
 		}
 		c.macUsers[i].UpdateAvgTput(used, tti, c.cfg.FairnessWindow)
@@ -468,35 +521,56 @@ func (c *Cell) onTTI() {
 	c.prof.OnTTI()
 }
 
-// rbStats aggregates UE i's share of one TTI's allocation: the bits
-// its grant carries, the RB count, the summed SINR decode floor, and
-// the distinct allocated subbands. sbs aliases c.sbScratch and is
-// valid only until the next rbStats call — serveUE copies it when a
-// transport block must outlive the TTI.
+// ueGrant is one UE's share of a TTI's allocation: the bits its grant
+// carries, the RB count, the summed SINR decode floor, and the
+// distinct allocated subbands in RB order.
+type ueGrant struct {
+	bits, nRB  int
+	sinrReqSum float64
+	sbs        []int
+}
+
+// rbStats fills c.grants from one TTI's allocation in a single pass
+// over the RBs. A UE's CQI is constant within a run (mac.RunEnd), so
+// it is looked up once per run and owner; the floor sum is still added
+// per RB in RB order, which keeps its bits equal to a per-UE scan. The
+// subband lists alias per-UE scratch valid until the next call.
 //
 //outran:allocfree
-//outran:scratch
-func (c *Cell) rbStats(i int, alloc mac.Allocation) (bits, nAllocRB int, sinrReqSum float64, sbs []int) {
-	sbs = c.sbScratch[:0]
-	nsb := len(c.macUsers[i].SubbandCQI)
-	for b, owner := range alloc.RBOwner {
-		if owner != i {
-			continue
-		}
-		cqi := c.macUsers[i].CQIForRB(b, c.grid.NumRB)
-		bits += phy.RBBits(cqi)
-		sinrReqSum += cqi.SINRFloorDB()
-		nAllocRB++
-		if nsb > 0 {
-			sb := b * nsb / c.grid.NumRB
-			if len(sbs) == 0 || sbs[len(sbs)-1] != sb {
-				//outran:allocok amortized scratch growth, bounded by the subband count; steady state reuses capacity
-				sbs = append(sbs, sb)
+func (c *Cell) rbStats(alloc mac.Allocation) {
+	for i := range c.grants {
+		g := &c.grants[i]
+		g.bits, g.nRB, g.sinrReqSum, g.sbs = 0, 0, 0, g.sbs[:0]
+	}
+	numRB := c.grid.NumRB
+	for b := 0; b < numRB; {
+		end := mac.RunEnd(c.macUsers, b, numRB)
+		prev := -1
+		rbBits, floor := 0, 0.0
+		for ; b < end; b++ {
+			o := alloc.RBOwner[b]
+			if o < 0 {
+				continue
 			}
+			g := &c.grants[o]
+			if o != prev {
+				prev = o
+				u := c.macUsers[o]
+				cqi := u.CQIForRB(b, numRB)
+				rbBits, floor = phy.RBBits(cqi), cqi.SINRFloorDB()
+				if nsb := len(u.SubbandCQI); nsb > 0 {
+					sb := mac.SubbandOf(b, nsb, numRB)
+					if len(g.sbs) == 0 || g.sbs[len(g.sbs)-1] != sb {
+						//outran:allocok amortized per-UE scratch growth, bounded by the subband count; steady state reuses capacity
+						g.sbs = append(g.sbs, sb)
+					}
+				}
+			}
+			g.bits += rbBits
+			g.sinrReqSum += floor
+			g.nRB++
 		}
 	}
-	c.sbScratch = sbs[:0]
-	return
 }
 
 // harqForceAfter is the number of TTIs a ready retransmission may be
@@ -597,7 +671,10 @@ func (c *Cell) tbArrive(ue *ueCtx, tb *harqTB) {
 	now := c.Eng.Now()
 	ok := true
 	if !c.cfg.DisableHARQ {
+		// Decoding evaluates the channel: PHY work.
+		tPhy := c.prof.Begin()
 		real := c.sinrOver(ue, now, tb.subbands)
+		c.prof.End(obs.PhasePhy, tPhy)
 		margin := real - tb.reqSINR + 3*float64(tb.attempts)
 		p := blerProb(margin)
 		ok = c.r.Float64() >= p
@@ -699,8 +776,12 @@ func (c *Cell) SetPhaseProfiler(p *obs.PhaseProfiler) { c.prof = p }
 // PhaseProfiler returns the installed profiler (nil when disabled).
 func (c *Cell) PhaseProfiler() *obs.PhaseProfiler { return c.prof }
 
-// Users exposes the MAC user states (read-only use).
-func (c *Cell) Users() []*mac.User { return c.macUsers }
+// Users exposes the MAC user states (read-only use), with every
+// outstanding CQI report evaluated.
+func (c *Cell) Users() []*mac.User {
+	c.readAllCQI()
+	return c.macUsers
+}
 
 // Scheduler returns the active MAC scheduler.
 func (c *Cell) Scheduler() mac.Scheduler { return c.sched }

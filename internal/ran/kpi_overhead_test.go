@@ -89,10 +89,11 @@ func TestKPIOverheadGate(t *testing.T) {
 }
 
 // TestPhaseProfilerOverheadGate: the enabled profiler (two clock reads
-// per instrumented phase) must stay within 5% of the uninstrumented
-// run. The disabled cost is pinned at zero separately — a nil
-// profiler never reads the clock (obs.TestPhaseProfilerNilInert) and
-// the hot path's allocation contract is unchanged.
+// per instrumented phase, in one TTI interval of seven) must stay
+// within 5% of the uninstrumented run. The disabled cost is pinned at
+// zero separately — a nil profiler never reads the clock
+// (obs.TestPhaseProfilerNilInert) and the hot path's allocation
+// contract is unchanged.
 func TestPhaseProfilerOverheadGate(t *testing.T) {
 	if os.Getenv("OUTRAN_OVERHEAD_GATE") == "" {
 		t.Skip("set OUTRAN_OVERHEAD_GATE=1 to run the timing gate")

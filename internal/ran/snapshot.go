@@ -275,6 +275,8 @@ func (c *Cell) SnapshotTo(b *snapshot.Builder) error {
 		}
 	}
 	seqs := c.sortedPendingSeqs()
+	// The MAC view is encoded with every CQI report evaluated.
+	c.readAllCQI()
 
 	var ce snapshot.Encoder
 	ce.Mark(tagConfig)
@@ -627,6 +629,8 @@ func (c *Cell) restoreUE(d *snapshot.Decoder, ue *ueCtx) error {
 	if err := ue.macUser.Restore(d); err != nil {
 		return err
 	}
+	// The snapshot's CQIs replace the report NewCell left outstanding.
+	ue.cqiDue = false
 	if err := ue.pdcpTx.Restore(d); err != nil {
 		return err
 	}

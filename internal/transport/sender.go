@@ -73,7 +73,14 @@ type Sender struct {
 	srtt, rttvar sim.Time
 	rto          sim.Time
 	rtoTimer     *sim.Timer
-	sentAt       map[int64]sim.Time // segment seq -> first send time (Karn)
+	// sent is the Karn send-time window: the first-send time of every
+	// unacknowledged segment not since retransmitted, in ascending seq
+	// order from sent[sentHead]. Every entry is at or above
+	// highestAcked. New segments append at the tail (nextSeq only
+	// grows), a cumulative ACK pops the head, and a retransmission —
+	// always of the earliest unacked segment — drops its entry.
+	sent     []sentRec
+	sentHead int
 
 	completed   bool
 	retransmits int
@@ -92,7 +99,6 @@ func NewSender(eng *sim.Engine, cfg Config, tuple ip.FiveTuple, size int64) *Sen
 		cwnd:     cfg.InitCwnd,
 		ssthresh: 1 << 30,
 		rto:      cfg.InitialRTO,
-		sentAt:   make(map[int64]sim.Time),
 	}
 	s.rtoTimer = sim.NewTimer(eng, s.onRTO)
 	return s
@@ -125,7 +131,7 @@ func (s *Sender) Reset(tuple ip.FiveTuple, size int64) {
 	s.srtt = 0
 	s.rttvar = 0
 	s.rto = s.cfg.InitialRTO
-	clear(s.sentAt)
+	s.sent, s.sentHead = s.sent[:0], 0
 	s.completed = false
 	s.retransmits = 0
 	s.timeouts = 0
@@ -158,9 +164,9 @@ func (s *Sender) sendSegment(seq int64, isRetx bool) {
 	}
 	if isRetx {
 		s.retransmits++
-		delete(s.sentAt, seq) // Karn: never sample retransmitted
-	} else if _, dup := s.sentAt[seq]; !dup {
-		s.sentAt[seq] = s.eng.Now()
+		s.forgetSent(seq) // Karn: never sample retransmitted
+	} else if n := len(s.sent); n == s.sentHead || s.sent[n-1].seq < seq {
+		s.sent = append(s.sent, sentRec{seq, s.eng.Now()})
 	}
 	s.segsSent++
 	if s.Send != nil {
@@ -190,14 +196,14 @@ func (s *Sender) OnAck(ackSeq int64) {
 	now := s.eng.Now()
 	if ackSeq > s.highestAcked {
 		// RTT sample from the first newly acked segment, if eligible.
-		if t0, ok := s.sentAt[s.highestAcked]; ok {
-			s.sampleRTT(now - t0)
+		live := s.sent[s.sentHead:]
+		if len(live) > 0 && live[0].seq == s.highestAcked {
+			s.sampleRTT(now - live[0].at)
 		}
-		for seq := range s.sentAt {
-			if seq < ackSeq {
-				delete(s.sentAt, seq)
-			}
+		for s.sentHead < len(s.sent) && s.sent[s.sentHead].seq < ackSeq {
+			s.sentHead++
 		}
+		s.compactSent()
 		s.highestAcked = ackSeq
 		s.dupAcks = 0
 		if s.inRecovery && ackSeq >= s.recoverSeq {
@@ -245,6 +251,35 @@ func (s *Sender) OnAck(ackSeq int64) {
 		s.cwnd += 1
 		s.trySend()
 	}
+}
+
+// sentRec is one entry of the Karn send-time window.
+type sentRec struct {
+	seq int64
+	at  sim.Time
+}
+
+// forgetSent drops seq's send time. Retransmissions target the
+// earliest unacked segment, so the scan stops at the head in practice.
+func (s *Sender) forgetSent(seq int64) {
+	for i := s.sentHead; i < len(s.sent) && s.sent[i].seq <= seq; i++ {
+		if s.sent[i].seq == seq {
+			copy(s.sent[i:], s.sent[i+1:])
+			s.sent = s.sent[:len(s.sent)-1]
+			return
+		}
+	}
+}
+
+// compactSent reclaims the acknowledged prefix of the window once it
+// is at least half the slice, so the window's memory follows the
+// flight size, not the flow length.
+func (s *Sender) compactSent() {
+	if s.sentHead == 0 || 2*s.sentHead < len(s.sent) {
+		return
+	}
+	n := copy(s.sent, s.sent[s.sentHead:])
+	s.sent, s.sentHead = s.sent[:n], 0
 }
 
 func (s *Sender) enterRecovery(now sim.Time) {

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"sort"
 
 	"outran/internal/sim"
 	"outran/internal/snapshot"
@@ -15,8 +14,8 @@ const (
 )
 
 // Snapshot encodes the sender's full mutable state, including the
-// congestion controller, the RTT estimator, the Karn send-time map
-// (in sorted seq order so encoding is deterministic), and the live
+// congestion controller, the RTT estimator, the Karn send-time window
+// (in ascending seq order), and the live
 // RTO timer arm. Construction inputs (cfg, tuple, size, callbacks)
 // are not encoded: the restore side rebuilds the sender from the same
 // flow metadata and overlays this state.
@@ -42,15 +41,11 @@ func (s *Sender) Snapshot(e *snapshot.Encoder) {
 	e.Bool(running)
 	e.I64(int64(expires))
 	e.U64(seq)
-	keys := make([]int64, 0, len(s.sentAt))
-	for k := range s.sentAt {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		e.I64(k)
-		e.I64(int64(s.sentAt[k]))
+	live := s.sent[s.sentHead:]
+	e.U32(uint32(len(live)))
+	for _, r := range live {
+		e.I64(r.seq)
+		e.I64(int64(r.at))
 	}
 	e.Bool(s.completed)
 	e.Int(s.retransmits)
@@ -83,13 +78,18 @@ func (s *Sender) Restore(d *snapshot.Decoder) error {
 	expires := sim.Time(d.I64())
 	armSeq := d.U64()
 	n := d.Count(1 << 24)
+	s.sent, s.sentHead = s.sent[:0], 0
 	for i := 0; i < n; i++ {
 		k := d.I64()
 		v := sim.Time(d.I64())
 		if d.Err() != nil {
 			break
 		}
-		s.sentAt[k] = v
+		if len(s.sent) > 0 && k <= s.sent[len(s.sent)-1].seq {
+			d.Fail(fmt.Errorf("%w: send-time window not in ascending seq order", snapshot.ErrCorrupt))
+			break
+		}
+		s.sent = append(s.sent, sentRec{k, v})
 	}
 	s.completed = d.Bool()
 	s.retransmits = d.Int()
